@@ -25,7 +25,6 @@ from repro.engine.operators import (
     materialize,
 )
 from repro.engine.parallel import (
-    DEFAULT_REFIT_THRESHOLD,
     MERGE_POLICIES,
     MergePolicy,
     ParallelExecutor,
@@ -42,7 +41,6 @@ from repro.engine.plan import (
     PRECEDENCE,
     ExecutionPlan,
     is_auto_plan,
-    resolve_plan_argument,
 )
 from repro.engine.query import Query
 from repro.engine.result import (
@@ -93,7 +91,6 @@ __all__ = [
     "AUTO_PLAN",
     "PRECEDENCE",
     "is_auto_plan",
-    "resolve_plan_argument",
     "EvaluationTransport",
     "SerialTransport",
     "ThreadPoolTransport",
@@ -111,7 +108,6 @@ __all__ = [
     "ParallelExecutor",
     "MergePolicy",
     "MERGE_POLICIES",
-    "DEFAULT_REFIT_THRESHOLD",
     "PipelinedExecutor",
     "PipelineEvaluationDriver",
     "SpeculativeValuePool",

@@ -19,39 +19,20 @@ from __future__ import annotations
 
 import abc
 from contextlib import contextmanager
-from dataclasses import fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.filtering import SelectionPredicate
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.engine.batch import iter_batches, truncate_columns
 from repro.engine.executor import UDFExecutionEngine
-from repro.engine.parallel import MergePolicy, ParallelExecutor
-from repro.engine.plan import ExecutionPlan, is_auto_plan, resolve_plan_argument
+from repro.engine.parallel import ParallelExecutor
+from repro.engine.plan import ExecutionPlan, is_auto_plan
 from repro.engine.result import QueryResult, classify_rows
 from repro.engine.schema import Attribute, AttributeKind, Schema
-from repro.engine.transport import TransportSpec
 from repro.engine.tuples import Relation, UncertainTuple
 from repro.exceptions import QueryError
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
-
-
-def legacy_knobs_supplied(**legacy) -> bool:
-    """Whether any legacy per-knob kwarg was actually set.
-
-    "Set" means different from the corresponding
-    :class:`~repro.engine.plan.ExecutionPlan` field default (``None`` for
-    most knobs, ``"union"`` for ``merge``) — the same rule
-    :func:`~repro.engine.plan.resolve_plan_argument` applies when deciding
-    whether to warn.  Shared by the operators and the query builder to
-    decide when the engine's default plan may stand in.
-    """
-    defaults = {field.name: field.default for field in fields(ExecutionPlan)}
-    return any(
-        value is not None and value != defaults.get(name)
-        for name, value in legacy.items()
-    )
 
 
 @contextmanager
@@ -114,31 +95,28 @@ def _plan_and_executors(
     engine: UDFExecutionEngine,
     udf: UDF | None = None,
     relation_size: int | None = None,
-    **legacy,
 ) -> tuple[ExecutionPlan, ParallelExecutor | None, object | None]:
     """Shared plan/executor setup of :class:`ApplyUDF` and :class:`SelectUDF`.
 
-    Resolves ``plan=``-or-legacy-kwargs to one validated plan, then the
-    plan to its executor, split into the two shapes the operators
-    iterate over: ``(plan, parallel, chunked)`` where ``parallel`` is a
-    :class:`~repro.engine.parallel.ParallelExecutor` (whole-input fan-out)
-    and ``chunked`` any chunk-wise executor (``None``/``None`` = the
-    per-tuple path).
+    Resolves the plan to its executor, split into the two shapes the
+    operators iterate over: ``(plan, parallel, chunked)`` where
+    ``parallel`` is a :class:`~repro.engine.parallel.ParallelExecutor`
+    (whole-input fan-out) and ``chunked`` any chunk-wise executor
+    (``None``/``None`` = the per-tuple path).
 
-    When neither ``plan=`` nor any legacy knob was given, the engine's
-    default plan (installed at engine construction, or by
-    :meth:`~repro.engine.session.Session.submit`) applies — the seam that
-    lets one plan configure a whole served query without threading it
-    through every builder call.  The ``"auto"`` spelling — passed
-    directly, or installed as the engine default — resolves here, where
-    the UDF and the input size are both known, via
+    When no ``plan=`` was given, the engine's default plan (installed at
+    engine construction, or by :meth:`~repro.engine.session.Session.submit`)
+    applies — the seam that lets one plan configure a whole served query
+    without threading it through every builder call.  The ``"auto"``
+    spelling — passed directly, or installed as the engine default —
+    resolves here, where the UDF and the input size are both known, via
     :meth:`~repro.engine.plan.ExecutionPlan.auto`.
     """
-    if plan is None and engine.plan is not None and not legacy_knobs_supplied(**legacy):
-        plan = engine.plan
-    if is_auto_plan(plan):
-        plan = ExecutionPlan.auto(udf, relation_size, engine=engine)
-    resolved = resolve_plan_argument(plan, warn_stacklevel=4, **legacy)
+    resolved = plan if plan is not None else engine.plan
+    if resolved is None:
+        resolved = ExecutionPlan()
+    elif is_auto_plan(resolved):
+        resolved = ExecutionPlan.auto(udf, relation_size, engine=engine)
     executor = resolved.resolve(engine)
     if isinstance(executor, ParallelExecutor):
         return resolved, executor, None
@@ -181,13 +159,28 @@ class Operator(abc.ABC):
                 return plan
         return None
 
+    def _merge_udf_timings(self, timings: PhaseTimings) -> PhaseTimings:
+        """Fold every UDF node's executor phase timings into ``timings``.
+
+        The same ``sampling`` / ``inference`` / ``refinement`` (and, per
+        plan, ``filtering`` / ``speculation`` / ``model_*``) phases that
+        :meth:`~repro.engine.executor.UDFExecutionEngine.compute_with_plan`
+        reports, so a plan's result carries one phase set whichever entry
+        point ran it.  Returns ``timings`` for chaining.
+        """
+        for node in self._tree_nodes():
+            for executor in (getattr(node, "_parallel", None), getattr(node, "_batch", None)):
+                if executor is not None:
+                    timings.merge(executor.timings)
+        return timings
+
     def execute(self, name: str = "result") -> QueryResult:
         """Materialise the operator's output into a typed query result.
 
         Returns a :class:`~repro.engine.result.QueryResult` wrapping the
         relation (iteration, ``len``, attribute access all delegate to
         it, so pre-existing consumers of the bare relation keep working)
-        plus the executed plan, wall-clock timings and one
+        plus the executed plan, wall-clock and executor phase timings and one
         certain/possible :class:`~repro.engine.result.TupleVerdict` per
         row — classified against the accuracy requirement of the plan's
         engine, when the tree has one.
@@ -200,7 +193,7 @@ class Operator(abc.ABC):
         return QueryResult(
             result,
             plan=self._tree_plan(),
-            timings=timings,
+            timings=self._merge_udf_timings(timings),
             verdicts=classify_rows(result.tuples, self._tree_epsilon()),
         )
 
@@ -313,11 +306,7 @@ class ApplyUDF(Operator):
     :class:`~repro.engine.plan.ExecutionPlan` (``plan=``): batching,
     sharding, overlapped refinement windows, cross-tuple pipelining and
     the evaluation transport, validated as a unit and resolved to the
-    composed executor stack.  The per-knob kwargs (``batch_size`` /
-    ``workers`` / ``merge`` / ``parallel_seed`` / ``async_inflight`` /
-    ``pipeline_lookahead`` / ``transport``) remain as a deprecation shim
-    that builds the same plan; passing both is a
-    :class:`~repro.exceptions.PlanError`.
+    composed executor stack.
     """
 
     def __init__(
@@ -328,13 +317,6 @@ class ApplyUDF(Operator):
         alias: str,
         engine: UDFExecutionEngine,
         plan: ExecutionPlan | str | None = None,
-        batch_size: int | None = None,
-        workers: int | None = None,
-        merge: MergePolicy = "union",
-        parallel_seed: int | None = None,
-        async_inflight: int | None = None,
-        pipeline_lookahead: int | None = None,
-        transport: TransportSpec | None = None,
     ):
         """Validate the UDF call against the child's schema and pick executors.
 
@@ -349,7 +331,7 @@ class ApplyUDF(Operator):
             When ``argument_names`` is empty or references unknown
             attributes, when ``alias`` collides with an existing attribute,
             or (as :class:`~repro.exceptions.PlanError`) when the execution
-            plan — explicit or built from the legacy kwargs — is invalid.
+            plan is invalid.
         """
         if not argument_names:
             raise QueryError("a UDF call needs at least one argument attribute")
@@ -365,15 +347,8 @@ class ApplyUDF(Operator):
         self.alias = alias
         self.engine = engine
         self.plan, self._parallel, self._batch = _plan_and_executors(
-            plan, engine, udf=udf, relation_size=_scan_relation_size(child),
-            batch_size=batch_size, workers=workers, merge=merge,
-            parallel_seed=parallel_seed, async_inflight=async_inflight,
-            pipeline_lookahead=pipeline_lookahead, transport=transport,
+            plan, engine, udf=udf, relation_size=_scan_relation_size(child)
         )
-        self.batch_size = self.plan.batch_size
-        self.workers = self.plan.workers
-        self.async_inflight = self.plan.async_inflight
-        self.pipeline_lookahead = self.plan.pipeline_lookahead
 
     def schema(self) -> Schema:
         """The child schema plus the derived uncertain output attribute."""
@@ -439,19 +414,12 @@ class SelectUDF(Operator):
         predicate: SelectionPredicate,
         engine: UDFExecutionEngine,
         plan: ExecutionPlan | str | None = None,
-        batch_size: int | None = None,
-        workers: int | None = None,
-        merge: MergePolicy = "union",
-        parallel_seed: int | None = None,
-        async_inflight: int | None = None,
-        pipeline_lookahead: int | None = None,
-        transport: TransportSpec | None = None,
     ):
         """Validate the predicated UDF call and pick executors.
 
         The execution configuration (``plan=``, including the ``"auto"``
-        spelling, or the legacy per-knob kwargs) and name-based ``udf``
-        resolution behave exactly as on :class:`ApplyUDF`.
+        spelling) and name-based ``udf`` resolution behave exactly as on
+        :class:`ApplyUDF`.
 
         Raises
         ------
@@ -474,15 +442,8 @@ class SelectUDF(Operator):
         self.predicate = predicate
         self.engine = engine
         self.plan, self._parallel, self._batch = _plan_and_executors(
-            plan, engine, udf=udf, relation_size=_scan_relation_size(child),
-            batch_size=batch_size, workers=workers, merge=merge,
-            parallel_seed=parallel_seed, async_inflight=async_inflight,
-            pipeline_lookahead=pipeline_lookahead, transport=transport,
+            plan, engine, udf=udf, relation_size=_scan_relation_size(child)
         )
-        self.batch_size = self.plan.batch_size
-        self.workers = self.plan.workers
-        self.async_inflight = self.plan.async_inflight
-        self.pipeline_lookahead = self.plan.pipeline_lookahead
 
     def schema(self) -> Schema:
         """The child schema plus the predicate-restricted output attribute."""

@@ -16,12 +16,12 @@ shards trivially.  :class:`ParallelExecutor` therefore
 3. runs one :class:`~repro.engine.batch.BatchExecutor` per shard inside a
    :class:`concurrent.futures.ProcessPoolExecutor`, each shard drawing from
    its own :func:`~repro.rng.spawn_keyed` random stream, and
-4. merges shard outputs (always in shard order) and the training points the
-   workers added (according to the *merge policy*) back into the parent.
+4. concatenates shard outputs in shard order and applies the *merge
+   policy*, which decides what the workers' learning does to the parent.
 
 Merge policies
 --------------
-``"discard"``
+``"discard"`` (default)
     Worker-added training points are thrown away.  With ``workers >= 2``
     the parent process never computes, so its model is byte-for-byte
     untouched; with ``workers = 1`` the in-process run is rolled back via a
@@ -30,18 +30,9 @@ Merge policies
     UDF call counters, GP operation counts, ``tuples_processed`` — keeps
     the work it genuinely performed.  Shard outputs depend only on
     ``(seed, shard_size, batch_size)`` — invariant to the worker count.
-``"union"`` (default)
-    Every worker's new ``(x, f(x))`` observations are absorbed into the
-    parent emulator through the blocked incremental update (exact duplicates
-    are dropped first).  The UDF values were already paid for in the
-    workers, so the parent model warms up without further UDF calls.
-``"refit-threshold"``
-    ``"union"``, plus a full hyperparameter retrain when at least
-    ``refit_threshold`` merged points arrived — the cross-shard analogue of
-    the §5.3 retraining policy.
 ``"shared"``
     The **live shared model**: instead of every worker relearning the
-    emulator from scratch and reconciling only after the run, a
+    emulator from scratch, a
     :class:`~repro.core.shared_model.SharedEmulatorStore` is served from a
     model-server endpoint on the parent
     (:func:`~repro.core.shared_model.serve_shared_store`), seeded with the
@@ -52,13 +43,13 @@ Merge policies
     every tuple boundary publishes the rows the worker just paid for while
     absorbing what other shards learned meanwhile.  After the run the
     parent absorbs the store in commit order — so the parent ends warm,
-    like ``"union"``, but total UDF calls stay close to the serial run
-    instead of scaling with the worker count.  At ``workers=1`` no store
-    exists and the policy is the serial fast path keeping its points
-    (bit-identical to the serial batched run); at ``workers >= 2`` shard
-    outputs depend on cross-shard absorption timing and are *not*
-    worker-count-invariant (use ``"discard"`` when that invariance matters
-    more than the UDF-call budget).
+    and total UDF calls stay close to the serial run instead of scaling
+    with the worker count.  At ``workers=1`` no store exists and the
+    policy is the serial fast path keeping its points (bit-identical to
+    the serial batched run); at ``workers >= 2`` shard outputs depend on
+    cross-shard absorption timing and are *not* worker-count-invariant
+    (use ``"discard"`` when that invariance matters more than the
+    UDF-call budget).
 
 Determinism contract
 --------------------
@@ -75,13 +66,13 @@ Sharding overlaps *whole shards* across processes; with a black box whose
 per-call latency dominates, each worker still sleeps through its own
 refinement loop.  ``async_inflight > 1`` runs every shard through an
 :class:`~repro.engine.async_exec.AsyncRefinementExecutor`, overlapping up
-to that many in-flight UDF calls on a thread pool *inside* the worker, and
-``oversubscribe`` raises the default pool size above the core count so
-latency-bound workers do not leave CPUs idle.  Both knobs preserve the
-determinism contract above (the async pipeline is completion-order
-invariant), but shard outputs then follow the async refinement trajectory,
-which differs numerically from the serial batched one at
-``async_inflight > 1``.
+to that many in-flight UDF calls on a thread pool *inside* the worker.
+With latency-bound shards, an explicit ``workers`` above the core count
+keeps the CPUs busy while workers sleep in the black box.  The window
+preserves the determinism contract above (the async pipeline is
+completion-order invariant), but shard outputs then follow the async
+refinement trajectory, which differs numerically from the serial batched
+one at ``async_inflight > 1``.
 """
 
 from __future__ import annotations
@@ -91,8 +82,6 @@ import pickle
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
-
-import numpy as np
 
 from repro.core.filtering import SelectionPredicate
 from repro.core.hybrid import HybridExecutor
@@ -105,26 +94,14 @@ from repro.timing import PhaseTimings
 from repro.udf.base import UDF
 from repro.udf.retry import RetryPolicy
 
-MergePolicy = Literal["discard", "union", "refit-threshold", "shared"]
+MergePolicy = Literal["discard", "shared"]
 
-MERGE_POLICIES: tuple[str, ...] = ("discard", "union", "refit-threshold", "shared")
-
-#: Default number of merged training points that triggers a hyperparameter
-#: retrain under the ``"refit-threshold"`` policy.
-DEFAULT_REFIT_THRESHOLD = 16
+MERGE_POLICIES: tuple[str, ...] = ("discard", "shared")
 
 
-def default_worker_count(oversubscribe: float = 1.0) -> int:
-    """The shard count used when ``workers`` is left unset.
-
-    The core count scaled by ``oversubscribe`` (floored at one worker) —
-    shared by :class:`ParallelExecutor` and the engine's
-    ``compute_parallel`` deprecation shim, which needs the same number to
-    build the equivalent :class:`~repro.engine.plan.ExecutionPlan` (a plan
-    has no "default worker count" spelling of its own: ``workers=None``
-    means *unsharded* there).
-    """
-    return max(1, round((os.cpu_count() or 1) * oversubscribe))
+def default_worker_count() -> int:
+    """The shard count used when ``workers`` is left unset: the core count."""
+    return max(1, os.cpu_count() or 1)
 
 
 @dataclass
@@ -133,10 +110,6 @@ class ShardResult:
 
     shard_index: int
     outputs: list[ComputedOutput]
-    #: Training inputs/targets the worker added beyond the snapshot
-    #: (``None`` when the strategy has no model or nothing was added).
-    new_X: Optional[np.ndarray]
-    new_y: Optional[np.ndarray]
     #: The worker's per-phase wall-clock, merged into the parent's report.
     timings: dict[str, float]
     #: UDF cost deltas, credited back to the parent UDF's accounting.
@@ -223,10 +196,6 @@ def _run_shard(
     """
     engine, udf = pickle.loads(payload)
     engine.reseed(spawn_keyed(base_seed, shard_index))
-    n_before = 0
-    emulator = _emulator_of(engine, udf)
-    if emulator is not None:
-        n_before = emulator.n_training
     calls_before = udf.call_count
     real_before = udf.real_time
 
@@ -256,18 +225,9 @@ def _run_shard(
         # before the worker reports back (covers sub-executors that drive
         # refinement outside process_batch's tuple loop too).
         sync.sync()
-
-    new_X = new_y = None
-    emulator = _emulator_of(engine, udf)  # may have been created during the run
-    if emulator is not None and emulator.n_training > n_before:
-        gp = emulator.gp
-        new_X = gp.X_train[n_before:]
-        new_y = gp.y_train[n_before:]
     return ShardResult(
         shard_index=shard_index,
         outputs=outputs,
-        new_X=new_X,
-        new_y=new_y,
         timings=dict(executor.timings.seconds),
         udf_calls=udf.call_count - calls_before,
         udf_real_time=udf.real_time - real_before,
@@ -293,9 +253,6 @@ class ParallelExecutor:
         ``workers`` so shard outputs are invariant to the pool size.
     merge:
         Merge policy for worker-added training points (module docstring).
-    refit_threshold:
-        Minimum merged points that trigger a retrain under
-        ``"refit-threshold"``.
     seed:
         Base seed for the per-shard :func:`~repro.rng.spawn_keyed` streams.
         ``None`` derives one from the engine's stream (reproducible given
@@ -320,12 +277,6 @@ class ParallelExecutor:
         scheduler.  Shard outputs follow the pipelined trajectory (bitwise
         the async trajectory at the same window) and remain deterministic
         and worker-count-invariant under ``"discard"``.
-    oversubscribe:
-        Scales the *default* worker count (``os.cpu_count()``) when
-        ``workers`` is ``None``.  With UDF-latency-bound shards a worker
-        spends most of its time sleeping in the black box, so running more
-        shards than cores (e.g. ``oversubscribe=2.0``) keeps the CPUs busy.
-        Ignored when ``workers`` is set explicitly.
     retry:
         A :class:`~repro.udf.retry.RetryPolicy` enabling *shard-level
         recovery*: when a worker process dies (the pool reports
@@ -349,12 +300,10 @@ class ParallelExecutor:
         workers: Optional[int] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         shard_size: Optional[int] = None,
-        merge: MergePolicy = "union",
-        refit_threshold: int = DEFAULT_REFIT_THRESHOLD,
+        merge: MergePolicy = "discard",
         seed: Optional[int] = None,
         async_inflight: Optional[int] = None,
         pipeline_lookahead: Optional[int] = None,
-        oversubscribe: float = 1.0,
         transport=None,
         retry: Optional[RetryPolicy] = None,
         storage: str = "tuple",
@@ -370,10 +319,9 @@ class ParallelExecutor:
         ------
         QueryError
             On a non-positive ``workers`` / ``batch_size`` / ``shard_size``
-            / ``refit_threshold`` / ``async_inflight`` /
-            ``pipeline_lookahead``, an unknown ``merge`` policy or
-            ``transport``, a serial transport under an overlapped schedule,
-            ``oversubscribe < 1``, or a ``retry`` that is not a
+            / ``async_inflight`` / ``pipeline_lookahead``, an unknown
+            ``merge`` policy or ``transport``, a serial transport under an
+            overlapped schedule, or a ``retry`` that is not a
             :class:`~repro.udf.retry.RetryPolicy`.
         """
         if workers is not None and workers < 1:
@@ -384,16 +332,12 @@ class ParallelExecutor:
             raise QueryError(f"shard_size must be positive, got {shard_size}")
         if merge not in MERGE_POLICIES:
             raise QueryError(f"unknown merge policy {merge!r}; choose from {MERGE_POLICIES}")
-        if refit_threshold < 1:
-            raise QueryError(f"refit_threshold must be positive, got {refit_threshold}")
         if async_inflight is not None and async_inflight < 1:
             raise QueryError(f"async_inflight must be positive, got {async_inflight}")
         if pipeline_lookahead is not None and pipeline_lookahead < 1:
             raise QueryError(
                 f"pipeline_lookahead must be positive, got {pipeline_lookahead}"
             )
-        if oversubscribe < 1.0:
-            raise QueryError(f"oversubscribe must be at least 1, got {oversubscribe}")
         if transport is not None:
             from repro.engine.transport import transport_name
 
@@ -422,15 +366,10 @@ class ParallelExecutor:
         self.pipeline_lookahead = (
             int(pipeline_lookahead) if pipeline_lookahead is not None else None
         )
-        self.oversubscribe = float(oversubscribe)
-        if workers is not None:
-            self.workers = int(workers)
-        else:
-            self.workers = default_worker_count(self.oversubscribe)
+        self.workers = int(workers) if workers is not None else default_worker_count()
         self.batch_size = int(batch_size)
         self.shard_size = int(shard_size) if shard_size is not None else self.batch_size
         self.merge: MergePolicy = merge
-        self.refit_threshold = int(refit_threshold)
         self.seed = seed
         #: Aggregate of per-worker phase timings (total work, not wall-clock —
         #: worker phases overlap in time).
@@ -466,8 +405,8 @@ class ParallelExecutor:
         Numerically identical to :class:`BatchExecutor` under the same
         engine seed (or, when ``async_inflight > 1``, to the equivalent
         :class:`~repro.engine.async_exec.AsyncRefinementExecutor` run).
-        Merge policies still apply: ``"discard"`` rolls the model back
-        afterwards, ``"refit-threshold"`` may retrain.
+        ``"discard"`` rolls the model back afterwards; ``"shared"`` keeps
+        the points the run learned.
         """
         emulator = _emulator_of(self.engine, udf)
         had_processor = udf.name in self.engine._processors
@@ -496,12 +435,6 @@ class ParallelExecutor:
             self.last_merged_points = 0
         else:
             self.last_merged_points = added
-            if (
-                self.merge == "refit-threshold"
-                and added >= self.refit_threshold
-                and emulator is not None
-            ):
-                emulator.retrain()
         return outputs
 
     # -- sharded path -------------------------------------------------------------
@@ -579,7 +512,9 @@ class ParallelExecutor:
                 outputs.extend(result.outputs)
                 self.timings.merge(result.timings)
                 udf.absorb_charges(result.udf_calls, result.udf_real_time)
-            self._merge_training_points(udf, results, shared_store)
+            self.last_merged_points = self.last_dropped_points = 0
+            if self.merge == "shared":
+                self._refresh_parent_from_store(udf, shared_store)
         finally:
             if shared_manager is not None:
                 shared_manager.shutdown()
@@ -668,73 +603,14 @@ class ParallelExecutor:
         )
 
     # -- merge step ---------------------------------------------------------------
-    def _merge_training_points(
-        self, udf: UDF, results: list[ShardResult], shared_store=None
-    ) -> None:
-        """Fold worker-added training points into the parent model.
-
-        Exact-duplicate rows are dropped, and the absorption respects the
-        processor's ``max_training_points`` cap (shard order decides which
-        points fit) — without the cap a long relation would bloat the parent
-        model past the size OLGAPRO's refinement loop is allowed to use,
-        permanently short-circuiting refinement for later tuples.  Points
-        that did not fit are counted in :attr:`last_dropped_points`.
-
-        Under ``merge="shared"`` the store — not the shard results — is the
-        source of truth: the parent absorbs its rows in commit order (the
-        tuple-ordered sequence every worker's fenced appends produced), so
-        the parent's final matrix is independent of which shard reported
-        back first.
-        """
-        self.last_merged_points = 0
-        self.last_dropped_points = 0
-        if self.merge == "discard":
-            return
-        if self.merge == "shared":
-            self._refresh_parent_from_store(udf, shared_store)
-            return
-        stacked_X: list[np.ndarray] = []
-        stacked_y: list[np.ndarray] = []
-        for result in results:
-            if result.new_X is not None and result.new_X.shape[0]:
-                stacked_X.append(result.new_X)
-                stacked_y.append(result.new_y)
-        if not stacked_X:
-            return
-        emulator = _emulator_of(self.engine, udf)
-        if emulator is None:
-            if self.engine.strategy == "mc":
-                return
-            # Cold parent: create the processor so the merged points warm it.
-            self.engine._processor_for(udf)
-            emulator = _emulator_of(self.engine, udf)
-        X = np.vstack(stacked_X)
-        y = np.concatenate(stacked_y)
-        # Shards that refined overlapping input regions can return the exact
-        # same point (e.g. both re-learned from the same snapshot); exact
-        # duplicates would only trigger the degenerate-update refit fallback.
-        seen = {row.tobytes() for row in emulator.gp.X_train} if emulator.n_training else set()
-        keep = []
-        for row_index, row in enumerate(X):
-            key = row.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            keep.append(row_index)
-        room = max(0, self._max_training_points(udf) - emulator.n_training)
-        if len(keep) > room:
-            self.last_dropped_points = len(keep) - room
-            keep = keep[:room]
-        if not keep:
-            return
-        emulator.absorb_observations(X[keep], y[keep])
-        self.last_merged_points = len(keep)
-        if self.merge == "refit-threshold" and self.last_merged_points >= self.refit_threshold:
-            emulator.retrain()
-
     def _refresh_parent_from_store(self, udf: UDF, shared_store) -> None:
         """``merge="shared"`` epilogue: absorb the store into the parent model.
 
+        The store — not the shard results — is the source of truth: the
+        parent absorbs its rows in commit order (the tuple-ordered sequence
+        every worker's fenced appends produced), so the parent's final
+        matrix is independent of which shard reported back first.  The
+        absorption respects the processor's ``max_training_points`` cap.
         Every row in the store was paid for by exactly one worker (and
         charged back to the parent UDF through the shard results), so the
         absorption spends zero UDF calls.  Wall-clock lands under the

@@ -1,26 +1,19 @@
 """ExecutionPlan: one validated description of *how* a query executes.
 
-Four PRs grew four coexisting execution layers — batched
+The engine composes four execution layers — batched
 (:mod:`repro.engine.batch`), sharded (:mod:`repro.engine.parallel`),
 async-overlapped (:mod:`repro.engine.async_exec`) and cross-tuple
-pipelined (:mod:`repro.engine.pipeline`) — and each threaded its own knob
-(``batch_size`` / ``workers`` / ``async_inflight`` /
-``pipeline_lookahead`` / ``merge`` / ``parallel_seed`` / ``transport``)
-separately through :class:`~repro.engine.operators.ApplyUDF`,
+pipelined (:mod:`repro.engine.pipeline`).  :class:`ExecutionPlan` is the
+one way to say how they compose: a frozen dataclass holding every knob,
+validated on construction (:class:`~repro.exceptions.PlanError` with the
+violated rule — and the precedence — in the message) and resolved to a
+composed executor by :meth:`ExecutionPlan.resolve`.  Every entry point —
+:class:`~repro.engine.operators.ApplyUDF`,
 :class:`~repro.engine.operators.SelectUDF`,
-:class:`~repro.engine.query.Query` and
-:class:`~repro.engine.executor.UDFExecutionEngine`.  The selection logic
-("``workers`` beats ``pipeline_lookahead`` beats ``async_inflight`` beats
-``batch_size``") lived in one place, but the knobs, their validation and
-their defaults were re-declared at every entry point, and an invalid
-combination was *silently resolved* rather than rejected.
-
-:class:`ExecutionPlan` collapses those paths: one frozen dataclass holding
-every knob, validated on construction (:class:`~repro.exceptions.PlanError`
-with the violated rule — and the precedence — in the message), resolved to
-a composed executor by :meth:`ExecutionPlan.resolve`.  The legacy kwargs
-on the operators, the query builder and the engine remain as a thin
-deprecation shim that builds a plan (see :func:`resolve_plan_argument`).
+:class:`~repro.engine.query.Query`,
+:meth:`~repro.engine.executor.UDFExecutionEngine.compute_with_plan` and
+:class:`~repro.engine.session.Session` — takes it as ``plan=`` (a built
+plan or the ``"auto"`` spelling) and nothing else.
 
 Knob precedence (outermost first)
 ---------------------------------
@@ -39,7 +32,7 @@ sits outermost:
 
 from __future__ import annotations
 
-import warnings
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Union
 
@@ -124,13 +117,14 @@ class ExecutionPlan:
         Process-pool shard count.  ``None`` disables sharding.
     merge:
         Training-point merge policy for sharded execution
-        (``"discard" | "union" | "refit-threshold" | "shared"``).
-        ``"shared"`` selects the live shared model
-        (:mod:`repro.core.shared_model`): workers learn *through* a shared
-        store mid-stream instead of relearning per shard, and a pipelined
-        plan refreshes its prefetch walks against the live model.
-        Accepted with ``workers`` set, or — for ``"shared"`` only — with
-        ``pipeline_lookahead`` set; rejected otherwise.
+        (``"discard" | "shared"``).  ``"discard"`` (the default) keeps the
+        parent model untouched and the shard outputs independent of the
+        worker count; it has no effect without ``workers``.  ``"shared"``
+        selects the live shared model (:mod:`repro.core.shared_model`):
+        workers learn *through* a shared store mid-stream instead of
+        relearning per shard, and a pipelined plan refreshes its prefetch
+        walks against the live model.  It needs ``workers`` or
+        ``pipeline_lookahead``.
     parallel_seed:
         Base seed of the per-shard random streams.  Inert without
         ``workers`` (historically accepted as a defensive default, so it
@@ -150,10 +144,6 @@ class ExecutionPlan:
         is built with ``plan=``, and must be left ``None`` in plans handed
         to an already-built engine (resolution cannot reconfigure live
         processors).
-    oversubscribe:
-        Scales the *default* shard count above the core count when
-        ``workers`` is ``None``.  Conflicts with an explicit ``workers``
-        (which would silently win) — set one or the other.
     transport:
         How refinement-window evaluations reach the black box:
         ``"threads"`` (default, bounded pool), ``"serial"`` (the explicit
@@ -185,12 +175,11 @@ class ExecutionPlan:
 
     batch_size: Optional[int] = None
     workers: Optional[int] = None
-    merge: MergePolicy = "union"
+    merge: MergePolicy = "discard"
     parallel_seed: Optional[int] = None
     async_inflight: Optional[int] = None
     pipeline_lookahead: Optional[int] = None
     speculative_k: Optional[int] = None
-    oversubscribe: float = 1.0
     transport: TransportSpec = DEFAULT_TRANSPORT
     retry: Optional[RetryPolicy] = None
     storage: str = "tuple"
@@ -200,37 +189,30 @@ class ExecutionPlan:
         for knob in ("batch_size", "workers", "async_inflight",
                      "pipeline_lookahead", "speculative_k"):
             value = getattr(self, knob)
-            if value is not None and int(value) < 1:
+            if value is None:
+                continue
+            # What operator.index accepts, minus bool: 2.5, True and "8"
+            # would otherwise be silently truncated or fail deep inside.
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise PlanError(f"{knob} must be an integer, got {value!r}")
+            count = operator.index(value)
+            if count < 1:
                 raise PlanError(f"{knob} must be positive, got {value}")
-        if self.oversubscribe < 1.0:
-            raise PlanError(f"oversubscribe must be at least 1, got {self.oversubscribe}")
+            object.__setattr__(self, knob, count)
         if self.merge not in MERGE_POLICIES:
             raise PlanError(
                 f"unknown merge policy {self.merge!r}; choose from {MERGE_POLICIES}"
             )
         name = transport_name(self.transport)  # validates the spec
-        sharded = self.workers is not None or self.oversubscribe != 1.0
-        if self.merge != "union" and not sharded:
-            # merge="shared" is the one policy with a meaning beyond the
-            # sharded layer: a pipelined plan uses it to keep prefetch walks
-            # refreshed against the live model (see PipelinedExecutor's
-            # shared_refresh).  Every other policy still requires workers.
-            if not (self.merge == "shared" and self.pipeline_lookahead is not None):
-                hint = (
-                    "set workers or pipeline_lookahead (or drop merge)"
-                    if self.merge == "shared"
-                    else "set workers (or drop merge)"
-                )
-                raise PlanError(
-                    f"merge={self.merge!r} configures what worker-learned training "
-                    f"points do to the parent model, but the plan has no workers; "
-                    f"{hint} — " + PRECEDENCE
-                )
-        if self.workers is not None and self.oversubscribe != 1.0:
+        sharded = self.workers is not None
+        if self.merge == "shared" and not sharded and self.pipeline_lookahead is None:
+            # Beyond the sharded layer, a pipelined plan uses "shared" to
+            # keep prefetch walks refreshed against the live model (see
+            # PipelinedExecutor's shared_refresh).
             raise PlanError(
-                "workers and oversubscribe conflict: oversubscribe scales the "
-                "*default* shard count and an explicit workers would silently "
-                "win; set one or the other — " + PRECEDENCE
+                "merge='shared' configures how learners share one live model, "
+                "but the plan has neither workers nor pipeline_lookahead; set "
+                "one of them (or drop merge) — " + PRECEDENCE
             )
         overlapped = (
             (self.async_inflight is not None and self.async_inflight > 1)
@@ -392,9 +374,8 @@ class ExecutionPlan:
     def resolve(self, engine: Any) -> Optional[PlannedExecutor]:
         """Compose the executor stack this plan describes, bound to ``engine``.
 
-        The single selection point previously hand-wired in
-        ``operators._make_udf_executor`` and the engine's ``compute_*``
-        shims.  Returns ``None`` for the all-default plan — the classic
+        The single selection point of every entry point.  Returns
+        ``None`` for the all-default plan — the classic
         per-tuple path (callers fall back to
         :meth:`~repro.engine.executor.UDFExecutionEngine.compute`).
 
@@ -414,7 +395,7 @@ class ExecutionPlan:
                     "pass speculative_k to the engine directly"
                 )
         batch_size = self.batch_size if self.batch_size is not None else DEFAULT_BATCH_SIZE
-        if self.workers is not None or self.oversubscribe != 1.0:
+        if self.workers is not None:
             return ParallelExecutor(
                 engine,
                 workers=self.workers,
@@ -423,7 +404,6 @@ class ExecutionPlan:
                 seed=self.parallel_seed,
                 async_inflight=self.async_inflight,
                 pipeline_lookahead=self.pipeline_lookahead,
-                oversubscribe=self.oversubscribe,
                 transport=self.transport,
                 retry=self.retry,
                 storage=self.storage,
@@ -467,47 +447,3 @@ class ExecutionPlan:
         """A copy with the given knobs replaced (re-validated)."""
         return replace(self, **overrides)
 
-
-def resolve_plan_argument(
-    plan: Optional[ExecutionPlan],
-    *,
-    warn_stacklevel: int = 3,
-    **legacy: Any,
-) -> ExecutionPlan:
-    """The ``plan=``-or-legacy-kwargs shim shared by every entry point.
-
-    * ``plan`` given and every legacy kwarg at its default → ``plan``.
-    * ``plan`` ``None`` → a plan built from the legacy kwargs (their
-      documented deprecation path; a :class:`DeprecationWarning` is
-      emitted when any legacy knob is actually set).
-    * Both given → :class:`~repro.exceptions.PlanError`: two sources of
-      truth for the same knob cannot be reconciled silently.
-
-    ``legacy`` maps field names of :class:`ExecutionPlan` to values, with
-    ``None`` (or the field default) meaning "not set".
-    """
-    defaults = {field.name: field.default for field in fields(ExecutionPlan)}
-    unknown = set(legacy) - set(defaults)
-    if unknown:
-        raise PlanError(f"unknown execution knob(s): {sorted(unknown)}")
-    supplied = {
-        name: value
-        for name, value in legacy.items()
-        if value is not None and value != defaults[name]
-    }
-    if plan is not None:
-        if supplied:
-            raise PlanError(
-                "pass either plan= or the legacy executor kwargs, not both "
-                f"(got plan= and {sorted(supplied)})"
-            )
-        return plan
-    if supplied:
-        warnings.warn(
-            "per-knob executor kwargs (batch_size=, workers=, ...) are a "
-            "legacy shim; build an ExecutionPlan and pass plan= instead",
-            DeprecationWarning,
-            stacklevel=warn_stacklevel,
-        )
-    return ExecutionPlan(**{name: value for name, value in legacy.items()
-                            if value is not None})

@@ -588,6 +588,7 @@ class QueryService:
                         verdict.version,
                     )
                 )
+        operator._merge_udf_timings(timings)
         self._merge_model_timings(engine, timings)
         return QueryResult(
             relation,

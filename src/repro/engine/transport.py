@@ -533,9 +533,8 @@ class SubprocessPoolTransport(EvaluationTransport):
         return ("_pool",)
 
 
-#: Transport registry: the named specs a plan (or a legacy ``transport=``
-#: kwarg) may reference.  Values are factories, so every resolution gets a
-#: fresh, closed instance.
+#: Transport registry: the named specs a plan may reference.  Values are
+#: factories, so every resolution gets a fresh, closed instance.
 TRANSPORTS: Dict[str, type] = {
     SerialTransport.name: SerialTransport,
     ThreadPoolTransport.name: ThreadPoolTransport,

@@ -26,6 +26,7 @@ from repro.core.filtering import SelectionPredicate
 from repro.engine import (
     AsyncRefinementExecutor,
     BatchExecutor,
+    ExecutionPlan,
     ParallelExecutor,
     Query,
     UDFExecutionEngine,
@@ -302,9 +303,8 @@ def _query_run(async_inflight, workers=None, n_rows=6):
     return (
         Query(relation)
         .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                   batch_size=3, workers=workers, parallel_seed=17,
-                   merge="discard" if workers else "union",
-                   async_inflight=async_inflight)
+                   plan=ExecutionPlan(batch_size=3, workers=workers, parallel_seed=17,
+                                      async_inflight=async_inflight))
         .run(engine)
     )
 
@@ -358,17 +358,4 @@ def test_configuration_validation():
         AsyncRefinementExecutor(engine, inflight=4, batch_size=0)
     with pytest.raises(QueryError):
         ParallelExecutor(engine, async_inflight=0)
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, oversubscribe=0.5)
 
-
-def test_oversubscribe_scales_the_default_worker_count():
-    import os
-
-    _, engine, _ = _fixture(n_tuples=1)
-    base = ParallelExecutor(engine).workers
-    doubled = ParallelExecutor(engine, oversubscribe=2.0).workers
-    assert doubled == max(1, round((os.cpu_count() or 1) * 2.0))
-    assert doubled >= base
-    # Explicit workers wins over oversubscription.
-    assert ParallelExecutor(engine, workers=3, oversubscribe=2.0).workers == 3

@@ -18,6 +18,7 @@ from repro.core.local_inference import BatchKernelCache, LocalInferenceEngine
 from repro.core.olgapro import OLGAPRO
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor, iter_batches
 from repro.engine.executor import UDFExecutionEngine
+from repro.engine.plan import ExecutionPlan
 from repro.engine.query import Query
 from repro.engine.sdss import generate_galaxy_relation
 from repro.exceptions import QueryError
@@ -45,7 +46,9 @@ def _paired_runs(strategy, function_name="F1", n_tuples=7, seed=77, stream_seed=
         if mode == "per_tuple":
             outputs[mode] = [engine.compute(udf, d) for d in dists]
         else:
-            outputs[mode] = engine.compute_batch(udf, dists, batch_size=batch_size)
+            outputs[mode] = engine.compute_with_plan(
+                udf, dists, ExecutionPlan(batch_size=batch_size)
+            )
         outputs[mode + "_udf"] = udf
     return outputs
 
@@ -220,13 +223,18 @@ def test_batch_with_predicate_matches_per_tuple():
 # Operator / query integration
 # ---------------------------------------------------------------------------
 
+def _batch_plan(batch_size):
+    """The batched plan, or ``None`` (the per-tuple default) for no chunking."""
+    return ExecutionPlan(batch_size=batch_size) if batch_size is not None else None
+
+
 def _galage_query_result(batch_size):
     relation = generate_galaxy_relation(8, random_state=21)
     udf = reference_function("F1", simulated_eval_time=1e-4)
     engine = UDFExecutionEngine(strategy="gp", requirement=REQUIREMENT,
                                 random_state=13, n_samples=150)
     query = Query(relation).apply_udf(
-        udf, ["ra_offset", "dec_offset"], alias="f", batch_size=batch_size
+        udf, ["ra_offset", "dec_offset"], alias="f", plan=_batch_plan(batch_size)
     )
     return query.run(engine)
 
@@ -252,7 +260,7 @@ def test_where_udf_batch_size_matches_default_path():
         results[batch_size] = (
             Query(relation)
             .where_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       low=0.0, high=1.5, threshold=0.05, batch_size=batch_size)
+                       low=0.0, high=1.5, threshold=0.05, plan=_batch_plan(batch_size))
             .run(engine)
         )
     plain, batched = results[None], results[4]

@@ -6,8 +6,9 @@ Contracts under test (see :mod:`repro.engine.parallel` and :mod:`repro.rng`):
   :class:`~repro.engine.batch.BatchExecutor` path under the same engine seed;
 * under the ``"discard"`` merge policy, shard outputs are invariant to the
   worker count for any ``workers >= 2`` (fixed shard size, keyed streams);
-* the merge policies move worker-added training points (and only those)
-  back into the parent model;
+* ``"discard"`` (the default) leaves the parent model untouched, and
+  ``"shared"`` moves the rows the workers learned (and only those) back
+  into it through the live store;
 * worker failures — black-box exceptions, unpicklable state, dead pool
   processes — surface as typed :class:`~repro.exceptions.QueryError`\\ s.
 """
@@ -23,6 +24,7 @@ from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
 from repro.engine import (
     BatchExecutor,
+    ExecutionPlan,
     ParallelExecutor,
     Query,
     UDFExecutionEngine,
@@ -131,6 +133,14 @@ def test_discard_outputs_invariant_to_worker_count():
     for workers in (3, 4):
         outputs, _, _, _ = _sharded_run(workers=workers)
         _assert_same_outputs(reference, outputs)
+    # A plan's default merge is "discard": same outputs, and the parent
+    # model stays untouched (the cold parent still has no model).
+    udf, engine, dists = _fixture("gp")
+    outputs = engine.compute_with_plan(
+        udf, dists, ExecutionPlan(workers=2, batch_size=4, parallel_seed=99)
+    )
+    _assert_same_outputs(reference, outputs)
+    assert _emulator_of(engine, udf) is None
 
 
 def test_shard_size_smaller_than_batch_size():
@@ -176,50 +186,6 @@ def test_shard_size_larger_than_relation_yields_one_shard_with_timings():
     assert len(outputs) == 3
     assert executor.timings.get("sampling") > 0.0
     assert executor.timings.get("inference") > 0.0
-
-
-def test_union_merges_worker_points_into_parent():
-    outputs_discard, engine_d, _, _ = _sharded_run(workers=2, merge="discard")
-    outputs_union, engine_u, udf_u, executor = _sharded_run(workers=2, merge="union")
-    # Outputs are computed from the same snapshot either way.
-    _assert_same_outputs(outputs_discard, outputs_union)
-    # ... but only union warms the parent model.
-    assert _emulator_of(engine_d, udf_u) is None
-    emulator = _emulator_of(engine_u, udf_u)
-    assert emulator is not None
-    assert executor.last_merged_points > 0
-    assert emulator.n_training == executor.last_merged_points
-
-
-def test_refit_threshold_retrains_parent_hyperparameters():
-    _, engine, udf, executor = _sharded_run(workers=2, merge="refit-threshold")
-    emulator = _emulator_of(engine, udf)
-    assert executor.last_merged_points >= executor.refit_threshold
-    # retrain() marks the emulator as hyperparameter-trained.
-    assert emulator._trained_hyperparameters
-
-
-def test_union_merge_respects_max_training_points():
-    udf, engine, dists = _fixture("gp", max_training_points=30)
-    executor = ParallelExecutor(engine, workers=2, batch_size=4, merge="union", seed=5)
-    executor.compute_batch(udf, dists)
-    emulator = _emulator_of(engine, udf)
-    assert emulator.n_training <= 30
-    # The workers learn far more than 30 points from a cold snapshot each,
-    # so the cap must actually have bitten.
-    assert executor.last_dropped_points > 0
-    assert executor.last_merged_points + executor.last_dropped_points > 30
-
-
-def test_union_dedupes_exact_duplicates():
-    # Two shards started from the same warm snapshot can return identical
-    # points; the parent must keep one copy of each.
-    udf, engine, dists = _fixture("gp")
-    executor = ParallelExecutor(engine, workers=2, batch_size=4, merge="union", seed=5)
-    executor.compute_batch(udf, dists)
-    emulator = _emulator_of(engine, udf)
-    X = emulator.gp.X_train
-    assert len({row.tobytes() for row in X}) == X.shape[0]
 
 
 def test_parallel_credits_udf_cost_to_parent():
@@ -352,7 +318,7 @@ def test_select_udf_operator_runs_parallel():
         Query(relation)
         .where_udf(udf, ["ra_offset", "dec_offset"], alias="f",
                    low=0.0, high=1.5, threshold=0.05,
-                   batch_size=4, workers=2, merge="discard", parallel_seed=3)
+                   plan=ExecutionPlan(batch_size=4, workers=2, parallel_seed=3))
         .run(engine)
     )
     for row in result:
@@ -370,7 +336,7 @@ def test_apply_udf_operator_workers_1_matches_batched():
         return (
             Query(relation)
             .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       batch_size=3, workers=workers)
+                       plan=ExecutionPlan(batch_size=3, workers=workers))
             .run(engine)
         )
 
@@ -428,7 +394,6 @@ def test_executor_validates_configuration():
         ParallelExecutor(engine, batch_size=0)
     with pytest.raises(QueryError):
         ParallelExecutor(engine, shard_size=0)
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, merge="replace")
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, refit_threshold=0)
+    for merge in ("replace", "union", "refit-threshold"):
+        with pytest.raises(QueryError):
+            ParallelExecutor(engine, merge=merge)

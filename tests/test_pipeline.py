@@ -14,9 +14,8 @@ Contracts under test (see :mod:`repro.engine.pipeline`):
   counts, and invariant to completion order (point-hashed latency jitter);
 * degenerate inputs (empty batches) return cleanly with zero-phase
   timings;
-* the knob composes through ``Query`` / ``compute_pipelined`` /
-  ``ParallelExecutor``, including the ``merge="refit-threshold"``
-  fence/rollback interaction.
+* the knob composes through ``Query`` / ``compute_with_plan`` /
+  ``ParallelExecutor``.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from repro.core.accuracy import AccuracyRequirement
 from repro.engine import (
     AsyncRefinementExecutor,
     BatchExecutor,
+    ExecutionPlan,
     ParallelExecutor,
     PipelinedExecutor,
     Query,
@@ -293,14 +293,15 @@ def test_nested_pipelined_execution_is_rejected():
 # Plumbing: engine, query builder, parallel composition
 # ---------------------------------------------------------------------------
 
-def test_compute_pipelined_convenience_wrapper():
+def test_compute_with_plan_pipelined_matches_pipelined_executor():
     udf_a, engine_a, dists_a = _fixture(n_tuples=4)
     direct = PipelinedExecutor(engine_a, lookahead=3, inflight=4, batch_size=4).compute_batch(
         udf_a, dists_a
     )
     udf_b, engine_b, dists_b = _fixture(n_tuples=4)
-    wrapped = engine_b.compute_pipelined(
-        udf_b, dists_b, lookahead=3, inflight=4, batch_size=4
+    wrapped = engine_b.compute_with_plan(
+        udf_b, dists_b,
+        ExecutionPlan(pipeline_lookahead=3, async_inflight=4, batch_size=4),
     )
     _assert_identical_outputs(direct, wrapped)
 
@@ -315,7 +316,8 @@ def test_query_pipeline_lookahead_1_matches_batched():
         return (
             Query(relation)
             .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       batch_size=3, pipeline_lookahead=pipeline_lookahead)
+                       plan=ExecutionPlan(batch_size=3,
+                                          pipeline_lookahead=pipeline_lookahead))
             .run(engine)
         )
 
@@ -336,7 +338,8 @@ def test_query_pipeline_lookahead_runs_and_is_deterministic():
         return (
             Query(relation)
             .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       batch_size=6, pipeline_lookahead=3, async_inflight=4)
+                       plan=ExecutionPlan(batch_size=6, pipeline_lookahead=3,
+                                          async_inflight=4))
             .run(engine)
         )
 
@@ -375,50 +378,6 @@ def test_parallel_validates_pipeline_lookahead():
     _, engine, _ = _fixture()
     with pytest.raises(QueryError):
         ParallelExecutor(engine, pipeline_lookahead=0)
-
-
-# ---------------------------------------------------------------------------
-# Fence / merge interaction (refit-threshold)
-# ---------------------------------------------------------------------------
-
-def test_refit_threshold_merge_counts_pipelined_worker_points_once():
-    """Stale-fence re-inference must not double-absorb toward the refit count.
-
-    Every worker runs the pipelined scheduler: its speculative stages
-    re-run inference when fences go stale, and its walks absorb points into
-    *private* views.  Only the points genuinely committed to the worker's
-    live model may flow back through the ``"refit-threshold"`` merge — so
-    the parent's merged-point count must equal its model growth exactly,
-    with no duplicates.
-    """
-    udf, engine, dists = _fixture(n_tuples=8)
-    executor = ParallelExecutor(
-        engine, workers=2, batch_size=4, merge="refit-threshold", seed=5,
-        async_inflight=4, pipeline_lookahead=3,
-    )
-    executor.compute_batch(udf, dists)
-    emulator = _emulator_of(engine, udf)
-    assert emulator is not None
-    # Merged points == parent model growth (the parent started cold).
-    assert emulator.n_training == executor.last_merged_points
-    # No row entered the parent model twice.
-    X = emulator.gp.X_train
-    assert len({row.tobytes() for row in X}) == X.shape[0]
-    # The refit actually fired: enough merged points crossed the threshold.
-    assert executor.last_merged_points >= executor.refit_threshold
-    assert emulator._trained_hyperparameters
-
-
-def test_refit_threshold_serial_pipeline_does_not_double_count_refit_points():
-    """workers=1 + pipeline: model growth equals the merged-point count."""
-    udf, engine, dists = _fixture(n_tuples=6)
-    executor = ParallelExecutor(
-        engine, workers=1, batch_size=3, merge="refit-threshold",
-        async_inflight=4, pipeline_lookahead=3,
-    )
-    executor.compute_batch(udf, dists)
-    emulator = _emulator_of(engine, udf)
-    assert emulator.n_training == executor.last_merged_points
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ Contracts under test (see :mod:`repro.engine.plan`):
 * contradictory or out-of-domain knob combinations raise a typed
   ``PlanError`` whose message states the precedence rule — never a
   silently picked path;
-* ``plan=`` and the legacy per-knob kwargs are mutually exclusive, and the
-  legacy kwargs build the identical plan (deprecation shim);
 * a plan resolves to the executor stack the old hand-wired selection
   produced: workers → pipeline_lookahead → async_inflight → batch_size →
   per-tuple;
@@ -28,10 +26,8 @@ from repro.engine import (
     ExecutionPlan,
     ParallelExecutor,
     PipelinedExecutor,
-    Query,
     ThreadPoolTransport,
     UDFExecutionEngine,
-    generate_galaxy_relation,
 )
 from repro.exceptions import PlanError, QueryError
 from repro.udf.synthetic import async_service_udf
@@ -78,9 +74,16 @@ def _assert_identical(a_outputs, b_outputs):
         {"async_inflight": 0},
         {"pipeline_lookahead": -1},
         {"speculative_k": 0},
-        {"oversubscribe": 0.5},
         {"merge": "replace"},
         {"async_inflight": 2, "transport": "no-such-transport"},
+        # The only merge policies are "discard" and "shared".
+        {"workers": 2, "merge": "union"},
+        {"workers": 2, "merge": "refit-threshold"},
+        # Counts accept only what operator.index accepts, minus bool.
+        {"async_inflight": 1.9},
+        {"batch_size": 2.5},
+        {"batch_size": True},
+        {"batch_size": "8"},
     ],
 )
 def test_out_of_domain_values_raise_plan_error(kwargs):
@@ -91,11 +94,9 @@ def test_out_of_domain_values_raise_plan_error(kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        # merge configures sharded execution; without workers it would have
-        # been silently ignored before the plan layer.
-        {"merge": "discard"},
-        # an explicit workers would silently beat oversubscribe.
-        {"workers": 4, "oversubscribe": 2.0},
+        # merge="shared" needs learners to share with: workers or a pipeline.
+        {"merge": "shared"},
+        {"merge": "shared", "batch_size": 8, "async_inflight": 4},
         # a serial transport cannot overlap a window.
         {"async_inflight": 8, "transport": "serial"},
         {"pipeline_lookahead": 4, "transport": "serial"},
@@ -123,9 +124,10 @@ def test_shared_merge_needs_workers_or_a_pipeline():
     assert ExecutionPlan(pipeline_lookahead=4, merge="shared").merge == "shared"
     with pytest.raises(PlanError, match="precedence"):
         ExecutionPlan(merge="shared")
-    # Every other non-default policy still requires workers, pipeline or not.
-    with pytest.raises(PlanError, match="precedence"):
-        ExecutionPlan(pipeline_lookahead=4, merge="discard")
+    # "discard" is the default and, without workers, has no effect.
+    assert ExecutionPlan(pipeline_lookahead=4, merge="discard") == ExecutionPlan(
+        pipeline_lookahead=4
+    )
 
 
 def test_shared_merge_resolution_arms_the_walk_refresh():
@@ -163,56 +165,6 @@ def test_with_overrides_revalidates():
     assert plan.with_overrides(batch_size=16).batch_size == 16
     with pytest.raises(PlanError):
         plan.with_overrides(batch_size=0)
-
-
-# ---------------------------------------------------------------------------
-# plan= versus legacy kwargs
-# ---------------------------------------------------------------------------
-
-def test_plan_and_legacy_kwargs_are_mutually_exclusive():
-    relation = generate_galaxy_relation(4, random_state=1)
-    udf, _, _ = _fixture()
-    # The conflict surfaces at the builder call — where the user wrote the
-    # contradictory spellings — not at run().
-    with pytest.raises(PlanError, match="not both"):
-        Query(relation).apply_udf(
-            udf, ["ra_offset", "dec_offset"], alias="f",
-            plan=ExecutionPlan(batch_size=4), batch_size=8,
-        )
-
-
-def test_legacy_kwargs_build_the_identical_plan():
-    relation = generate_galaxy_relation(4, random_state=1)
-    udf, engine, _ = _fixture()
-    with pytest.warns(DeprecationWarning):
-        operator = (
-            Query(relation)
-            .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       batch_size=4, async_inflight=2)
-            .plan(engine)
-        )
-    assert operator.plan == ExecutionPlan(batch_size=4, async_inflight=2)
-
-
-def test_query_plan_run_matches_legacy_kwargs_run():
-    def run(use_plan):
-        relation = generate_galaxy_relation(6, random_state=21)
-        udf, engine, _ = _fixture(seed=13)
-        if use_plan:
-            kwargs = {"plan": ExecutionPlan(batch_size=3, async_inflight=1)}
-        else:
-            kwargs = {"batch_size": 3, "async_inflight": 1}
-        return (
-            Query(relation)
-            .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f", **kwargs)
-            .run(engine)
-        )
-
-    plain = run(True)
-    legacy = run(False)
-    assert len(plain) == len(legacy)
-    for a, b in zip(plain, legacy):
-        assert np.array_equal(a["f"].samples, b["f"].samples)
 
 
 # ---------------------------------------------------------------------------
