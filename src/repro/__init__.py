@@ -6,7 +6,9 @@ evaluating black-box user-defined functions on uncertain data with
 
 * an uncertain-data model (:mod:`repro.distributions`),
 * a Gaussian-process regression substrate (:mod:`repro.gp`),
-* a spatial index for local inference (:mod:`repro.index`),
+* bounding boxes for local inference (:mod:`repro.index`; training points
+  are retrieved with a vectorised distance scan — the paper's R-tree is kept
+  there as a reference structure),
 * synthetic and astrophysics UDF libraries (:mod:`repro.udf`),
 * the core contribution — Monte-Carlo baseline, GP emulation with error
   bounds, and the OLGAPRO online algorithm (:mod:`repro.core`),

@@ -103,7 +103,7 @@ def expt1_local_inference(
     for fraction in gamma_fractions:
         engine = LocalInferenceEngine(gamma_threshold=fraction * output_range)
         evaluate(
-            lambda s, engine=engine: engine.predict(emulator.gp, emulator.index, s),
+            lambda s, engine=engine: engine.predict(emulator.gp, s),
             "local",
             fraction,
         )

@@ -6,8 +6,9 @@ points far from the input samples contribute almost nothing to the weighted
 average that forms the predictive mean.  Local inference therefore
 
 1. builds a bounding box around the input samples,
-2. retrieves from the R-tree the training points within a search radius of
-   that box,
+2. retrieves the training points within a search radius of that box (a
+   vectorised distance scan over the training inputs — the paper keeps
+   them in an R-tree; the retrieved set is the same),
 3. bounds the *omitted* contribution ``γ = max_j |Σ_{l excluded}
    k(x_j, x_l) α_l|`` using the nearest / farthest points of the box
    (optionally per sub-box for a tighter bound), and
@@ -33,7 +34,6 @@ from repro.gp.kernels import Kernel
 from repro.gp.linalg import inverse_from_cholesky, jittered_cholesky
 from repro.gp.regression import GaussianProcess
 from repro.index.bounding_box import BoundingBox
-from repro.index.rtree import RTree
 
 
 @dataclass(frozen=True)
@@ -153,24 +153,30 @@ class LocalInferenceEngine:
     def select_points(
         self,
         gp: GaussianProcess,
-        index: RTree,
         sample_box: BoundingBox,
         samples: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, float, float]:
-        """Indices of the training points to keep, plus the achieved γ and radius."""
+        """Indices of the training points to keep, plus the achieved γ and radius.
+
+        Retrieval is one distance scan per call: every training point's
+        distance to ``sample_box`` is computed once, and each radius
+        expansion selects the points within it — the same retrieval the
+        batched path runs from its cached distance matrix.
+        """
         n = gp.n_training
         if n == 0:
             raise GPError("the GP has no training data")
         alpha = gp.alpha
         X = gp.X_train
         use_exact = self.bound_method == "exact" and samples is not None
+        distances = _distances_to_boxes(X, [sample_box])[:, 0]
         # Start from a small radius (half a lengthscale) and grow it until the
         # omitted-weight bound drops below Γ.  Starting small lets a loose Γ
         # select genuinely few points.
         radius = 0.5 * gp.kernel.lengthscale
         all_indices = np.arange(n)
         for _ in range(self.max_expansions):
-            selected = np.array(sorted(index.search_within_distance(sample_box, radius)), dtype=int)
+            selected = np.flatnonzero(distances <= radius)
             if selected.size == n:
                 return all_indices, 0.0, radius
             excluded_mask = np.ones(n, dtype=bool)
@@ -196,17 +202,15 @@ class LocalInferenceEngine:
     def predict(
         self,
         gp: GaussianProcess,
-        index: RTree,
         samples: np.ndarray,
         sample_box: Optional[BoundingBox] = None,
     ) -> LocalInferenceResult:
         """Local inference at ``samples`` (rows), per Algorithm 4."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         box = sample_box if sample_box is not None else BoundingBox.from_points(samples)
-        selected, gamma, radius = self.select_points(gp, index, box, samples=samples)
+        selected, gamma, radius = self.select_points(gp, box, samples=samples)
         X_local = gp.X_train[selected]
         alpha_local = gp.alpha[selected]
-        y_local = gp.y_train[selected]
 
         K_star = gp.kernel(samples, X_local)
         # Mean: global weights restricted to the local subset (the paper's
@@ -220,8 +224,6 @@ class LocalInferenceEngine:
         tmp = K_star @ K_local_inv
         variances = gp.kernel.diag(samples) - np.sum(tmp * K_star, axis=1)
         variances = np.maximum(variances, 0.0)
-        # y_local retained for debugging / introspection parity with the paper.
-        del y_local
         return LocalInferenceResult(
             means=means,
             stds=np.sqrt(variances),
@@ -234,7 +236,6 @@ class LocalInferenceEngine:
     def predict_multi(
         self,
         gp: GaussianProcess,
-        index: RTree,
         sample_sets: Sequence[np.ndarray],
         sample_boxes: Optional[Sequence[BoundingBox]] = None,
     ) -> list[LocalInferenceResult]:
@@ -242,11 +243,8 @@ class LocalInferenceEngine:
 
         Produces the same numbers as calling :meth:`predict` once per sample
         set, but shares the expensive pieces across the batch through a
-        :class:`BatchKernelCache`.  ``index`` is accepted for signature
-        parity with :meth:`predict`; the batched path computes the same
-        within-radius retrieval directly from the cached distance matrix.
+        :class:`BatchKernelCache`.
         """
-        del index  # retrieval is replaced by the vectorised distance matrix
         sample_sets = list(sample_sets)  # materialise once: generators welcome
         if not sample_sets:
             return []
@@ -365,7 +363,7 @@ class LocalInferenceEngine:
         """Replicate :meth:`select_points` from precomputed distances/kernels.
 
         ``distances`` holds each training point's distance to the tuple box
-        (what the R-tree's within-radius search tests); ``K_rows`` is the
+        (the column :meth:`select_points` scans); ``K_rows`` is the
         tuple's slice of the stacked cross-covariance matrix, so the exact-γ
         check is a slice + matvec instead of a fresh kernel evaluation.
         """
@@ -571,7 +569,7 @@ class BatchKernelCache:
       (the per-tuple path re-evaluates the kernel on every expansion),
     * ``K_train`` — training covariance (local sub-matrices slice it),
     * ``box_distances`` — every training point's distance to every tuple's
-      bounding box (replaces per-tuple R-tree searches), and
+      bounding box (one scan column per tuple), and
     * a per-subset cache of local covariance inverses (with a warm model
       neighbouring tuples usually select the same subset, so the
       ``O(l^3)`` factorisation is paid once).
@@ -848,8 +846,10 @@ class ColumnarKernelCache(BatchKernelCache):
 def _distances_to_boxes(X: np.ndarray, boxes: Sequence[BoundingBox]) -> np.ndarray:
     """``(n_points, n_boxes)`` Euclidean distances from points to boxes.
 
-    Matches :meth:`BoundingBox.min_distance_to_box` for degenerate point
-    boxes, which is exactly what the R-tree's within-radius search tests.
+    Equals :meth:`BoundingBox.min_distance_to_box` for degenerate point
+    boxes bit for bit, so a within-radius scan over one column retrieves
+    exactly what :meth:`repro.index.rtree.RTree.search_within_distance`
+    returns for that box.
     """
     lows = np.stack([box.low for box in boxes])
     highs = np.stack([box.high for box in boxes])
@@ -925,8 +925,8 @@ def global_inference_cached_block(
 def global_inference(gp: GaussianProcess, samples: np.ndarray) -> LocalInferenceResult:
     """Standard (global) inference packaged in the same result type.
 
-    Used as the comparison point in Expt 1 and as a fallback when no
-    spatial index is available.
+    Used as the comparison point in Expt 1 and as the fallback while the
+    model has too few training points for local inference.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     means, stds = gp.predict(samples, return_std=True)

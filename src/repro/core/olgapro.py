@@ -15,9 +15,9 @@ For every uncertain input tuple the algorithm:
 5. once the tuple is finished, consults the retraining policy and, when it
    fires, refits the kernel hyperparameters and re-runs inference.
 
-The training data, the GP, the R-tree index and the hyperparameters persist
-across tuples — that is what makes the algorithm online: the model warms up
-on the first tuples and afterwards rarely needs to call the UDF at all.
+The training data, the GP and the hyperparameters persist across tuples —
+that is what makes the algorithm online: the model warms up on the first
+tuples and afterwards rarely needs to call the UDF at all.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.core.local_inference import (
     BatchKernelCache,
     ColumnarKernelCache,
     LocalInferenceEngine,
+    LocalInferenceResult,
     global_inference,
     global_inference_cached,
     global_inference_cached_block,
@@ -441,7 +442,7 @@ class OLGAPRO:
         are drawn in the same tuple order.  The speedup comes from sharing
         the kernel algebra across the chunk through a
         :class:`~repro.core.local_inference.BatchKernelCache` (one stacked
-        cross-covariance evaluation, vectorised R-tree-equivalent retrieval,
+        cross-covariance evaluation, vectorised distance-scan retrieval,
         cached local factorisations); only tuples whose error bound misses
         the GP budget fall back to the per-tuple refinement loop, and even
         that loop re-infers through the cache, which absorbs new training
@@ -807,7 +808,7 @@ class OLGAPRO:
             engine = LocalInferenceEngine(
                 gamma_threshold=self.gamma_threshold(), subdivisions=self.subdivisions
             )
-            return engine.predict(self.emulator.gp, self.emulator.index, samples, sample_box=box)
+            return engine.predict(self.emulator.gp, samples, sample_box=box)
         return global_inference(self.emulator.gp, samples)
 
     def _make_cached_infer(self, cache: BatchKernelCache, i: int):
@@ -993,25 +994,22 @@ class OLGAPRO:
         last-ulp differences between cached and fresh kernel algebra into a
         different training-point selection, so bitwise-reproducible inference
         here is what keeps batched and per-tuple refinement trajectories
-        identical.
+        identical.  When the loop computes the initial bound itself, its
+        inference also serves the first candidate selection.
         """
         if initial is None:
-            envelope, bound = self._infer_and_bound(samples, box)
+            inference, envelope, bound = self._recheck(samples, box)
         else:
+            inference = None
             envelope, bound = initial
         ops_before = self.emulator.gp.factorization_count
         try:
             driver = self.evaluation_driver
             if driver is not None and driver.engaged(self):
-                return driver.tune(
-                    self, samples, box, rng, envelope, bound,
-                    bound_is_fresh=initial is None,
-                )
+                return driver.tune(self, samples, box, rng, envelope, bound, inference)
             if self.speculative_k > 1:
-                return self._tune_speculative(
-                    samples, box, envelope, bound, bound_is_fresh=initial is None
-                )
-            return self._tune_serial(samples, box, rng, envelope, bound)
+                return self._tune_speculative(samples, box, envelope, bound, inference)
+            return self._tune_serial(samples, box, rng, envelope, bound, inference)
         finally:
             self.refinement_factorizations += (
                 self.emulator.gp.factorization_count - ops_before
@@ -1024,15 +1022,24 @@ class OLGAPRO:
         rng: np.random.Generator,
         envelope: EnvelopeOutputs,
         bound: float,
+        inference: Optional[LocalInferenceResult] = None,
     ) -> tuple[EnvelopeOutputs, float, int, bool]:
-        """The paper's one-point-per-iteration refinement loop (Algorithm 5)."""
+        """The paper's one-point-per-iteration refinement loop (Algorithm 5).
+
+        ``inference`` is the fresh inference ``bound`` came from, or ``None``
+        when the bound came from the batch cache.  Each post-absorb re-check
+        leaves the model unchanged until the next selection, so its inference
+        serves that selection: one inference per added point.  A cached
+        bound is not realigned (selection alone runs on fresh inference).
+        """
         points_added = 0
         while bound > self.budget.epsilon_gp:
             if points_added >= self.max_points_per_tuple:
                 return envelope, bound, points_added, False
             if self.emulator.n_training >= self.max_training_points:
                 return envelope, bound, points_added, False
-            inference = self._infer(samples, box)
+            if inference is None:
+                inference = self._infer(samples, box)
             index = self.tuning_strategy.select(
                 samples,
                 inference.means,
@@ -1042,7 +1049,7 @@ class OLGAPRO:
             )
             self._absorb_candidate(samples[index])
             points_added += 1
-            envelope, bound = self._infer_and_bound(samples, box)
+            inference, envelope, bound = self._recheck(samples, box)
         return envelope, bound, points_added, True
 
     def _tune_speculative(
@@ -1051,7 +1058,7 @@ class OLGAPRO:
         box: BoundingBox,
         envelope: EnvelopeOutputs,
         bound: float,
-        bound_is_fresh: bool = True,
+        inference: Optional[LocalInferenceResult] = None,
     ) -> tuple[EnvelopeOutputs, float, int, bool]:
         """Speculative multi-point refinement: k candidates per iteration.
 
@@ -1071,23 +1078,23 @@ class OLGAPRO:
         single best candidate is committed, reusing the UDF observation that
         was already paid for.  The loop therefore never makes less progress
         per iteration than the serial largest-variance rule.
+
+        ``inference`` is as for :meth:`_tune_serial`; every post-add re-check
+        refreshes it.
         """
         points_added = 0
-        # Selection inference, refreshed by every post-add bound re-check —
-        # the model is unchanged between a re-check and the next selection,
-        # so recomputing inference there would be pure redundancy.
-        inference = None
         while bound > self.budget.epsilon_gp:
             capacity = self._refinement_capacity(points_added)
             if capacity <= 0:
                 return envelope, bound, points_added, False
             if inference is None:
-                inference, envelope, bound, realigned = self._selection_inference(
-                    samples, box, envelope, bound, bound_is_fresh
-                )
-                if realigned:
-                    bound_is_fresh = True
-                    continue
+                # The bound came from the batch cache, whose kernel algebra
+                # differs from fresh inference at the last ulp.  The overshoot
+                # comparisons below must be fresh-vs-fresh or batched and
+                # per-tuple trajectories could diverge on a knife edge, so
+                # realign the bound on the selection inference and re-test it.
+                inference, envelope, bound = self._recheck(samples, box)
+                continue
             k = min(self.speculative_k, capacity, samples.shape[0])
             order = select_top_k_distinct(samples, inference.stds, k)
             k = len(order)
@@ -1208,36 +1215,10 @@ class OLGAPRO:
         )
 
     def _recheck(self, samples: np.ndarray, box: BoundingBox):
-        """Fresh inference plus error bound after a model mutation."""
+        """Fresh inference at the current model state plus the bound it gives."""
         fresh = self._infer(samples, box)
         envelope, bound = self._bound_from_inference(fresh, box, samples.shape[0])
         return fresh, envelope, bound
-
-    def _selection_inference(
-        self,
-        samples: np.ndarray,
-        box: BoundingBox,
-        envelope: EnvelopeOutputs,
-        bound: float,
-        bound_is_fresh: bool,
-    ):
-        """Selection inference for a refinement round, realigning a stale bound.
-
-        The batched pipeline seeds the refinement loop with a bound from
-        cached kernel algebra, which differs from fresh inference at the
-        last ulp; the overshoot comparisons in the speculative and async
-        loops must be fresh-vs-fresh or the batched and per-tuple
-        trajectories could diverge on a knife edge.  The selection inference
-        is needed anyway, so realigning costs only the bound arithmetic.
-        Returns ``(inference, envelope, bound, realigned)``; when
-        ``realigned`` is true the caller must re-test the bound against the
-        budget before selecting candidates.
-        """
-        inference = self._infer(samples, box)
-        if bound_is_fresh:
-            return inference, envelope, bound, False
-        envelope, bound = self._bound_from_inference(inference, box, samples.shape[0])
-        return inference, envelope, bound, True
 
     def _rollback_to_best(self, state, x_best: np.ndarray, y_best: np.ndarray) -> None:
         """Undo an overshooting speculative block, keeping its best candidate.

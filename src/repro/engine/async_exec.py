@@ -157,7 +157,7 @@ class AsyncEvaluationDriver:
         rng: np.random.Generator,
         envelope,
         bound: float,
-        bound_is_fresh: bool = True,
+        inference=None,
     ):
         """Run the overlapped refinement pipeline for one tuple.
 
@@ -166,6 +166,8 @@ class AsyncEvaluationDriver:
         converged)``.  ``rng`` is accepted for interface parity but never
         consumed — candidate selection is the deterministic top-k rule, so
         Monte-Carlo sampling stays the only consumer of the random stream.
+        ``inference`` is the fresh inference ``bound`` came from, or ``None``
+        when the bound came from the batch cache and must be realigned.
 
         Raises
         ------
@@ -178,18 +180,14 @@ class AsyncEvaluationDriver:
         del rng  # selection is deterministic; see the docstring
         epsilon_gp = olgapro.budget.epsilon_gp
         points_added = 0
-        inference = None
         while bound > epsilon_gp:
             capacity = olgapro._refinement_capacity(points_added)
             if capacity <= 0:
                 return envelope, bound, points_added, False
             if inference is None:
-                inference, envelope, bound, realigned = olgapro._selection_inference(
-                    samples, box, envelope, bound, bound_is_fresh
-                )
-                if realigned:
-                    bound_is_fresh = True
-                    continue
+                # Realign a cached bound (see OLGAPRO._tune_speculative).
+                inference, envelope, bound = olgapro._recheck(samples, box)
+                continue
             window = min(self.inflight, capacity, samples.shape[0])
             order = select_top_k_distinct(samples, inference.stds, window)
             window = len(order)

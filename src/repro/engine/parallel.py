@@ -11,8 +11,8 @@ shards trivially.  :class:`ParallelExecutor` therefore
    default ``batch_size`` — deliberately independent of the worker count so
    shard outputs do not depend on pool size),
 2. pickles the execution engine once — per-UDF processors, GP emulator,
-   kernel hyperparameters and R-tree included — as the model snapshot every
-   worker starts from,
+   kernel hyperparameters and training set included — as the model
+   snapshot every worker starts from,
 3. runs one :class:`~repro.engine.batch.BatchExecutor` per shard inside a
    :class:`concurrent.futures.ProcessPoolExecutor`, each shard drawing from
    its own :func:`~repro.rng.spawn_keyed` random stream, and

@@ -2,9 +2,9 @@
 
 Local inference (Section 5.1) builds a bounding box around the Monte-Carlo
 input samples, retrieves training points within a distance threshold of that
-box from an R-tree, and uses nearest / furthest box points to bound the
-kernel weight of excluded training points.  This module provides the box
-geometry those steps need.
+box (the paper uses an R-tree; the engine scans), and uses nearest / furthest
+box points to bound the kernel weight of excluded training points.  This
+module provides the box geometry those steps need.
 """
 
 from __future__ import annotations
@@ -134,9 +134,15 @@ class BoundingBox:
         return float(np.linalg.norm(p - self.farthest_point_to(p)))
 
     def min_distance_to_box(self, other: "BoundingBox") -> float:
-        """Smallest Euclidean distance between any two points of the boxes."""
+        """Smallest Euclidean distance between any two points of the boxes.
+
+        The norm is a plain sum of squares (not BLAS ``dot``, whose SIMD
+        summation order differs in the last ulp), so the R-tree's distance
+        test agrees bit for bit with the vectorised scan local inference
+        runs (:func:`repro.core.local_inference._distances_to_boxes`).
+        """
         gaps = np.maximum(0.0, np.maximum(other.low - self.high, self.low - other.high))
-        return float(np.linalg.norm(gaps))
+        return float(np.sqrt(np.add.reduce(gaps * gaps)))
 
     def subdivide(self, parts_per_dim: int) -> list["BoundingBox"]:
         """Split the box into a regular grid of ``parts_per_dim**d`` sub-boxes.

@@ -21,7 +21,7 @@ class TestGPEmulator:
         emulator.train_initial(30, random_state=0)
         assert emulator.n_training == 30
         assert udf.call_count == 30
-        assert len(emulator.index) == 30
+        assert emulator.gp.X_train.shape == (30, udf.dimension)
 
     def test_designs(self, f1_udf):
         for design in ("random", "grid", "halton"):
@@ -50,10 +50,12 @@ class TestGPEmulator:
     def test_add_training_point(self, quadratic_udf):
         emulator = GPEmulator(quadratic_udf.with_simulated_eval_time(0.0))
         emulator.train_initial(6, random_state=0)
+        X_before = emulator.gp.X_train.copy()
         value = emulator.add_training_point(np.array([1.5]))
         assert value == pytest.approx(1.5**2 + 1.0)
         assert emulator.n_training == 7
-        assert len(emulator.index) == 7
+        np.testing.assert_array_equal(emulator.gp.X_train[:6], X_before)
+        np.testing.assert_array_equal(emulator.gp.X_train[6], [1.5])
 
     def test_add_training_point_shape_check(self, quadratic_udf):
         emulator = GPEmulator(quadratic_udf.with_simulated_eval_time(0.0))

@@ -312,8 +312,8 @@ def test_predict_multi_matches_predict(trained_f1_emulator):
     engine = LocalInferenceEngine(
         gamma_threshold=0.05 * float(np.ptp(emulator.gp.y_train))
     )
-    per = [engine.predict(emulator.gp, emulator.index, s) for s in sample_sets]
-    multi = engine.predict_multi(emulator.gp, emulator.index, sample_sets)
+    per = [engine.predict(emulator.gp, s) for s in sample_sets]
+    multi = engine.predict_multi(emulator.gp, sample_sets)
     for a, b in zip(per, multi):
         assert np.array_equal(a.selected_indices, b.selected_indices)
         assert np.allclose(a.means, b.means, rtol=RTOL)

@@ -221,7 +221,7 @@ class TestGaussianProcessAddPoints:
         mean, std = gp.predict(X[:2])
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
 
-    def test_emulator_add_training_points_updates_index(self):
+    def test_emulator_add_training_points_appends_rows(self):
         from repro.core.emulator import GPEmulator
         from repro.udf.base import UDF
 
@@ -230,7 +230,8 @@ class TestGaussianProcessAddPoints:
         emulator = GPEmulator(udf)
         emulator.train_initial(5, design="random", random_state=3,
                                optimize_hyperparameters=False)
-        values = emulator.add_training_points(np.array([[0.5], [-1.5], [1.1]]))
+        X_new = np.array([[0.5], [-1.5], [1.1]])
+        values = emulator.add_training_points(X_new)
         assert values.shape == (3,)
         assert emulator.n_training == 8
-        assert len(emulator.index) == 8
+        np.testing.assert_array_equal(emulator.gp.X_train[5:], X_new)

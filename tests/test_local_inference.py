@@ -25,9 +25,7 @@ def build_model(n=120, seed=0, lengthscale=1.0):
     y = np.sin(X[:, 0]) + np.cos(X[:, 1])
     gp = GaussianProcess(kernel=SquaredExponential(signal_std=1.0, lengthscale=lengthscale))
     gp.fit(X, y)
-    index = RTree(dimension=2)
-    index.bulk_load(X)
-    return gp, index
+    return gp
 
 
 class TestKernelAtDistance:
@@ -99,46 +97,61 @@ class TestLocalInferenceEngine:
             LocalInferenceEngine(gamma_threshold=0.1, expansion_factor=1.0)
 
     def test_local_matches_global_mean_within_gamma(self, rng):
-        gp, index = build_model()
+        gp = build_model()
         engine = LocalInferenceEngine(gamma_threshold=0.01)
         samples = rng.normal(loc=[5.0, 5.0], scale=0.4, size=(200, 2))
-        local = engine.predict(gp, index, samples)
+        local = engine.predict(gp, samples)
         global_result = global_inference(gp, samples)
         # The γ threshold bounds the mean-prediction difference.
         assert np.max(np.abs(local.means - global_result.means)) <= 0.01 + 1e-6
         assert local.n_selected <= gp.n_training
 
     def test_selects_fewer_points_for_larger_gamma(self, rng):
-        gp, index = build_model(lengthscale=0.8)
+        gp = build_model(lengthscale=0.8)
         samples = rng.normal(loc=[5.0, 5.0], scale=0.3, size=(100, 2))
-        tight = LocalInferenceEngine(gamma_threshold=1e-4).predict(gp, index, samples)
-        loose = LocalInferenceEngine(gamma_threshold=0.5).predict(gp, index, samples)
+        tight = LocalInferenceEngine(gamma_threshold=1e-4).predict(gp, samples)
+        loose = LocalInferenceEngine(gamma_threshold=0.5).predict(gp, samples)
         assert loose.n_selected <= tight.n_selected
 
     def test_gamma_reported_below_threshold(self, rng):
-        gp, index = build_model()
+        gp = build_model()
         engine = LocalInferenceEngine(gamma_threshold=0.05)
         samples = rng.normal(loc=[3.0, 7.0], scale=0.3, size=(80, 2))
-        result = engine.predict(gp, index, samples)
+        result = engine.predict(gp, samples)
         assert result.gamma <= 0.05 + 1e-12
 
     def test_stds_are_non_negative_and_finite(self, rng):
-        gp, index = build_model()
+        gp = build_model()
         engine = LocalInferenceEngine(gamma_threshold=0.02)
         samples = rng.normal(loc=[5.0, 5.0], scale=0.5, size=(60, 2))
-        result = engine.predict(gp, index, samples)
+        result = engine.predict(gp, samples)
         assert np.all(result.stds >= 0)
         assert np.all(np.isfinite(result.stds))
+
+    @pytest.mark.parametrize("gamma_threshold", [1e-4, 0.01, 0.5])
+    def test_selection_is_the_rtree_search_at_the_final_radius(self, rng, gamma_threshold):
+        gp = build_model()
+        tree = RTree(dimension=2)
+        tree.bulk_load(gp.X_train)
+        samples = rng.normal(loc=[5.0, 5.0], scale=0.4, size=(100, 2))
+        box = BoundingBox.from_points(samples)
+        engine = LocalInferenceEngine(gamma_threshold=gamma_threshold)
+        selected, _, radius = engine.select_points(gp, box, samples=samples)
+        expected = sorted(tree.search_within_distance(box, radius))
+        if len(expected) < gp.n_training:
+            assert selected.tolist() == expected
+        else:
+            assert selected.tolist() == list(range(gp.n_training))
 
     def test_untrained_gp_rejected(self):
         engine = LocalInferenceEngine(gamma_threshold=0.1)
         with pytest.raises(GPError):
-            engine.select_points(GaussianProcess(), RTree(dimension=2), BoundingBox(np.zeros(2), np.ones(2)))
+            engine.select_points(GaussianProcess(), BoundingBox(np.zeros(2), np.ones(2)))
 
 
 class TestGlobalInference:
     def test_uses_all_points(self, rng):
-        gp, _ = build_model(n=50)
+        gp = build_model(n=50)
         samples = rng.uniform(0, 10, size=(20, 2))
         result = global_inference(gp, samples)
         assert result.n_selected == 50

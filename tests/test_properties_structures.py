@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) for core data structures.
 
 Covers the R-tree (search correctness and structural invariants for arbitrary
-point sets), empirical CDFs (monotonicity, quantile consistency), the
+point sets), local inference's distance-scan retrieval (same set as the
+R-tree search), empirical CDFs (monotonicity, quantile consistency), the
 envelope error bounds (efficient == naive, bound validity), and the
 incremental covariance-inverse update.
 """
@@ -20,6 +21,7 @@ from repro.core.error_bounds import (
     gp_discrepancy_bound_naive,
     interval_probability_bounds,
 )
+from repro.core.local_inference import _distances_to_boxes
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.gp.linalg import block_inverse_update
 from repro.index.bounding_box import BoundingBox
@@ -64,6 +66,51 @@ class TestRTreeProperties:
         found = tree.nearest(query, k=1)[0]
         best = float(np.min(np.linalg.norm(points - query, axis=1)))
         assert float(np.linalg.norm(points[found] - query)) == pytest.approx(best, rel=1e-9)
+
+
+@st.composite
+def retrieval_cases(draw):
+    """Training points, a query box and a free radius for the scan check.
+
+    Covers 1-4 dimensions and both degenerate (single-point) and
+    non-degenerate boxes.
+    """
+    d = draw(st.integers(min_value=1, max_value=4))
+    points = draw(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=st.tuples(st.integers(min_value=1, max_value=60), st.just(d)),
+            elements=coordinate,
+        )
+    )
+    corners = draw(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=st.tuples(st.integers(min_value=1, max_value=4), st.just(d)),
+            elements=coordinate,
+        )
+    )
+    radius = draw(st.floats(min_value=0.0, max_value=300.0))
+    return points, BoundingBox.from_points(corners), radius
+
+
+class TestScanRetrievalProperties:
+    @given(retrieval_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_scan_matches_rtree_search(self, case):
+        """Local inference's distance scan retrieves exactly the R-tree's set.
+
+        Besides the drawn radius, every point's own scanned distance is
+        tried as a radius: the knife edge where a last-ulp difference
+        between the two distance computations would show.
+        """
+        points, box, radius = case
+        tree = RTree(dimension=points.shape[1], max_entries=6)
+        tree.bulk_load(points)
+        distances = _distances_to_boxes(points, [box])[:, 0]
+        for r in [radius, *distances.tolist()]:
+            scanned = np.flatnonzero(distances <= r)
+            assert scanned.tolist() == sorted(tree.search_within_distance(box, r))
 
 
 class TestEmpiricalProperties:

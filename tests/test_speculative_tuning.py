@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.accuracy import AccuracyRequirement
-from repro.core.local_inference import BatchKernelCache
+from repro.core.local_inference import BatchKernelCache, LocalInferenceEngine
 from repro.core.olgapro import OLGAPRO
+from repro.engine import UDFExecutionEngine
+from repro.engine.plan import ExecutionPlan
 from repro.exceptions import GPError
 from repro.gp.kernels import SquaredExponential
 from repro.gp.regression import GaussianProcess
@@ -153,19 +155,76 @@ def test_rollback_commits_single_point_when_bound_worsens(monkeypatch):
     monkeypatch.setattr(processor, "_bound_from_inference", sabotaged)
     n_rollback_restores = {"n": 0}
     real_restore = processor.emulator.restore
+    restored_rows = []
 
     def counting_restore(snapshot):
         n_rollback_restores["n"] += 1
         real_restore(snapshot)
+        restored_rows.append(snapshot.gp_state.X.copy())
 
     monkeypatch.setattr(processor.emulator, "restore", counting_restore)
 
     result = processor.process(dist)
     assert state["sabotaged"], "the speculative block re-check was never reached"
     assert n_rollback_restores["n"] == 1
-    # The run still completes and the model is consistent with its index.
-    assert processor.emulator.n_training == len(processor.emulator.index)
+    # The run still completes, and the training set kept the rolled-back
+    # state's rows as its prefix.
+    X_train = processor.emulator.gp.X_train
+    assert processor.emulator.n_training == X_train.shape[0] == processor.emulator.gp.y_train.size
+    np.testing.assert_array_equal(X_train[: restored_rows[0].shape[0]], restored_rows[0])
     assert result.distribution.size == 200
+
+
+# ---------------------------------------------------------------------------
+# One local inference per refinement step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("plan", [None, ExecutionPlan(batch_size=4)], ids=["compute", "batch4"])
+def test_refinement_infers_once_per_added_point(monkeypatch, plan):
+    """Each post-absorb re-check's inference also serves the next selection.
+
+    The per-tuple path hands its initial inference to the loop; the batched
+    path seeds it with a cached bound and infers once for the first
+    selection.  Either way one refining tuple costs ``points_added + 1``
+    calls of ``LocalInferenceEngine.predict``.
+    """
+    counter = {"calls": 0, "tracking": False}
+    records = []
+    real_predict = LocalInferenceEngine.predict
+    real_tune = OLGAPRO._tune_until_bounded
+
+    def counting_predict(self, *args, **kwargs):
+        if counter["tracking"]:
+            counter["calls"] += 1
+        return real_predict(self, *args, **kwargs)
+
+    def tracked_tune(self, *args, **kwargs):
+        before = counter["calls"]
+        counter["tracking"] = True
+        try:
+            result = real_tune(self, *args, **kwargs)
+        finally:
+            counter["tracking"] = False
+        records.append((counter["calls"] - before, result[2]))
+        return result
+
+    monkeypatch.setattr(LocalInferenceEngine, "predict", counting_predict)
+    monkeypatch.setattr(OLGAPRO, "_tune_until_bounded", tracked_tune)
+    udf = reference_function("F4")
+    engine = UDFExecutionEngine("gp", requirement=REQUIREMENT, random_state=11,
+                                n_samples=200, speculative_k=1)
+    dists = list(
+        input_stream(workload_for_udf(udf), 4, random_state=np.random.default_rng(6))
+    )
+    if plan is None:
+        for dist in dists:
+            engine.compute(udf, dist)
+    else:
+        engine.compute_with_plan(udf, dists, plan)
+
+    refined = [(calls, added) for calls, added in records if added > 0]
+    assert refined, "no tuple refined; the workload no longer exercises the loop"
+    assert all(calls == added + 1 for calls, added in refined), records
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +263,7 @@ def test_gp_restore_does_not_reset_op_counts():
     assert gp.factorization_count == ops
 
 
-def test_emulator_restore_rebuilds_index():
+def test_emulator_restore_truncates_training_set():
     udf = reference_function("F1")
     processor = OLGAPRO(udf, requirement=REQUIREMENT, random_state=3, n_samples=150,
                         initial_training_points=6)
@@ -215,12 +274,15 @@ def test_emulator_restore_rebuilds_index():
     emulator = processor.emulator
     state = emulator.snapshot()
     n_before = emulator.n_training
+    X_before = emulator.gp.X_train.copy()
 
-    emulator.add_training_points(np.random.default_rng(5).uniform(0, 10, size=(4, 2)))
-    assert len(emulator.index) == n_before + 4
+    X_new = np.random.default_rng(5).uniform(0, 10, size=(4, 2))
+    emulator.add_training_points(X_new)
+    assert emulator.n_training == n_before + 4
+    np.testing.assert_array_equal(emulator.gp.X_train[n_before:], X_new)
     emulator.restore(state)
     assert emulator.n_training == n_before
-    assert len(emulator.index) == n_before
+    np.testing.assert_array_equal(emulator.gp.X_train, X_before)
 
 
 def test_absorb_observations_skips_udf_calls():
@@ -233,11 +295,12 @@ def test_absorb_observations_skips_udf_calls():
     processor.process(dist)
     emulator = processor.emulator
     calls_before = udf.call_count
+    X_before = emulator.gp.X_train.copy()
     X = np.random.default_rng(8).uniform(0, 10, size=(3, 2))
     emulator.absorb_observations(X, np.array([1.0, 2.0, 3.0]))
     assert udf.call_count == calls_before
-    assert emulator.n_training >= 3
-    assert len(emulator.index) == emulator.n_training
+    assert emulator.n_training == X_before.shape[0] + 3
+    np.testing.assert_array_equal(emulator.gp.X_train, np.vstack([X_before, X]))
 
 
 # ---------------------------------------------------------------------------
